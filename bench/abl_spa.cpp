@@ -1,4 +1,4 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for the SPA design choices (README "Benchmarks"):
 //
 //  A. The SPA log-overflow rule (paper Section 6): once more than 120 views
 //     are inserted, the runtime stops logging and sequences the whole

@@ -2,11 +2,11 @@
 // P ∈ {1, 2, 4, 8, 16} workers and n ∈ {4, 16, 64, 256, 1024}, relative to
 // the single-worker execution.
 //
-// NOTE (EXPERIMENTS.md): this reproduction host has a single physical core,
-// so worker counts beyond 1 are oversubscribed OS threads and wall-clock
-// speedup cannot exceed ~1x. The figure's claim — that reduce overhead does
-// not *degrade* scalability (speedup stays flat-or-better as n grows) — is
-// still observable in the relative numbers per column.
+// NOTE: on a host with a single physical core, worker counts beyond 1 are
+// oversubscribed OS threads and wall-clock speedup cannot exceed ~1x. The
+// figure's claim — that reduce overhead does not *degrade* scalability
+// (speedup stays flat-or-better as n grows) — is still observable in the
+// relative numbers per column.
 //
 //   ./fig09_speedup [--lookups N] [--reps R]
 #include <cstdio>

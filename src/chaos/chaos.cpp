@@ -61,7 +61,7 @@ bool decide(Site s, const rt::PedigreeState& ped,
 bool consult(Site s, const rt::PedigreeState& ped, bool fault) noexcept {
   const auto i = static_cast<unsigned>(s);
   if ((g_state.cfg.sites & site_bit(s)) == 0) return false;
-  if (fault && detail::t_suppress != 0) return false;
+  if (fault && rt::strand().suppress != 0) return false;
   if (rt::Worker::current() == nullptr) return false;
   g_consults[i].fetch_add(1, std::memory_order_relaxed);
   std::uint64_t decision = 0;
@@ -85,7 +85,6 @@ void spin_ns(std::uint64_t ns) noexcept {
 namespace detail {
 
 std::atomic<bool> g_armed{false};
-thread_local unsigned t_suppress = 0;
 
 bool consult_fail(Site s, const rt::PedigreeState& ped) noexcept {
   return consult(s, ped, /*fault=*/true);

@@ -98,7 +98,6 @@ void reset_stats() noexcept;
 
 namespace detail {
 extern std::atomic<bool> g_armed;
-extern thread_local unsigned t_suppress;
 
 bool consult_fail(Site s, const rt::PedigreeState& ped) noexcept;
 bool consult_fail_here(Site s) noexcept;
@@ -141,12 +140,13 @@ inline void maybe_delay(Site s, const rt::PedigreeState& ped) noexcept {
 /// joins and the fiber-header allocation in Worker::launch run inside the
 /// scheduler's machinery, outside any SpawnFrame::eptr catch, so a
 /// bad_alloc there would escape into fiber_main/scheduler_loop and
-/// terminate. Fault sites check the (thread-local, nestable) counter before
-/// hashing; delay sites are unaffected.
+/// terminate. Fault sites check the (nestable) counter in the thread's
+/// rt::StrandContext before hashing; delay sites are unaffected. A scope
+/// must not span a context switch: the count belongs to the OS thread.
 class SuppressFaults {
  public:
-  SuppressFaults() noexcept { ++detail::t_suppress; }
-  ~SuppressFaults() { --detail::t_suppress; }
+  SuppressFaults() noexcept { ++rt::strand().suppress; }
+  ~SuppressFaults() { --rt::strand().suppress; }
 
   SuppressFaults(const SuppressFaults&) = delete;
   SuppressFaults& operator=(const SuppressFaults&) = delete;

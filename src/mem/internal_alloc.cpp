@@ -49,23 +49,30 @@ InternalAlloc::Magazine::~Magazine() {
   if (owner != nullptr) owner->flush(*this);
 }
 
+namespace {
+
+/// CAS-max: racing updates keep the maximum either way. A live total that
+/// a reconcile left transiently negative (a free folded in before its
+/// allocation) is never a peak.
+void raise_peak(std::atomic<std::uint64_t>& peak, std::int64_t live) noexcept {
+  if (live < 0) return;
+  const auto value = static_cast<std::uint64_t>(live);
+  std::uint64_t seen = peak.load(std::memory_order_relaxed);
+  while (value > seen &&
+         !peak.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+
 void InternalAlloc::note_alloc(TagCounters& c, std::size_t bytes) noexcept {
   c.allocs.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t blocks =
       c.live_blocks.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::uint64_t total =
       c.live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  // CAS-max peaks: racing updates keep the maximum either way.
-  std::uint64_t peak = c.peak_blocks.load(std::memory_order_relaxed);
-  while (blocks > peak &&
-         !c.peak_blocks.compare_exchange_weak(peak, blocks,
-                                              std::memory_order_relaxed)) {
-  }
-  peak = c.peak_bytes.load(std::memory_order_relaxed);
-  while (total > peak &&
-         !c.peak_bytes.compare_exchange_weak(peak, total,
-                                             std::memory_order_relaxed)) {
-  }
+  raise_peak(c.peak_blocks, static_cast<std::int64_t>(blocks));
+  raise_peak(c.peak_bytes, static_cast<std::int64_t>(total));
 }
 
 void InternalAlloc::note_free(TagCounters& c, std::size_t bytes) noexcept {
@@ -78,25 +85,18 @@ void InternalAlloc::reconcile(Magazine& mag, AllocTag tag) noexcept {
   if (p.allocs == 0 && p.blocks == 0 && p.bytes == 0) return;
   TagCounters& c = counters_[static_cast<std::size_t>(tag)];
   c.allocs.fetch_add(p.allocs, std::memory_order_relaxed);
-  // Negative deltas ride two's-complement wraparound of the unsigned add.
-  const std::uint64_t blocks =
-      c.live_blocks.fetch_add(static_cast<std::uint64_t>(p.blocks),
-                              std::memory_order_relaxed) +
-      static_cast<std::uint64_t>(p.blocks);
-  const std::uint64_t bytes =
-      c.live_bytes.fetch_add(static_cast<std::uint64_t>(p.bytes),
-                             std::memory_order_relaxed) +
-      static_cast<std::uint64_t>(p.bytes);
-  std::uint64_t peak = c.peak_blocks.load(std::memory_order_relaxed);
-  while (blocks > peak &&
-         !c.peak_blocks.compare_exchange_weak(peak, blocks,
-                                              std::memory_order_relaxed)) {
-  }
-  peak = c.peak_bytes.load(std::memory_order_relaxed);
-  while (bytes > peak &&
-         !c.peak_bytes.compare_exchange_weak(peak, bytes,
-                                             std::memory_order_relaxed)) {
-  }
+  // Negative deltas ride two's-complement wraparound of the unsigned add;
+  // the folded totals are read back as signed.
+  const std::int64_t blocks =
+      static_cast<std::int64_t>(c.live_blocks.fetch_add(
+          static_cast<std::uint64_t>(p.blocks), std::memory_order_relaxed)) +
+      p.blocks;
+  const std::int64_t bytes =
+      static_cast<std::int64_t>(c.live_bytes.fetch_add(
+          static_cast<std::uint64_t>(p.bytes), std::memory_order_relaxed)) +
+      p.bytes;
+  raise_peak(c.peak_blocks, blocks);
+  raise_peak(c.peak_bytes, bytes);
   p = {};
 }
 

@@ -17,11 +17,12 @@
 // parallelism T1/burdened-span is the paper-facing number: how much
 // parallelism survives the reduce machinery the paper's Figure 8 attributes.
 //
-// The state travels exactly like the pedigree: a thread-local re-seated at
-// every point a strand (re)starts on an OS thread, with stolen branches
-// publishing their totals through SpawnFrame::prof_* before the join
-// arrival. All hooks are gated on profiler_enabled(): with the profiler off,
-// the fork2join fast path pays one relaxed load and a predicted branch.
+// The state travels with the pedigree in the strand's rt::StrandContext
+// (runtime/pedigree.hpp), re-seated at every point a strand (re)starts on
+// an OS thread, with stolen branches publishing their totals through
+// SpawnFrame::prof_* before the join arrival. All hooks are gated on
+// profiler_enabled(): with the profiler off, the fork2join fast path pays
+// one relaxed load and a predicted branch.
 //
 // Accounting is only meaningful for runs that complete without escaping
 // exceptions, and the enable flag must not change while a run is in flight.
@@ -54,13 +55,6 @@ extern std::atomic<bool> g_profiler_enabled;
 inline bool profiler_enabled() noexcept {
   return detail::g_profiler_enabled.load(std::memory_order_relaxed);
 }
-
-/// The current strand's profile state. Deliberately OUT OF LINE and noinline
-/// for the same reason as rt::current_pedigree(): fibers migrate between OS
-/// threads at joins, and a CSE'd thread-local address would charge a resumed
-/// strand's time to the thread it departed. Re-fetch after any fork2join or
-/// scheduler call; never cache across them.
-ProfileState& current_profile() noexcept;
 
 /// Start timing a strand on the current thread.
 inline void strand_begin(ProfileState& ps) noexcept {

@@ -1,5 +1,5 @@
 // Compressed-sparse-row graphs and synthetic generators standing in for the
-// paper's Figure 10(b) input suite (see DESIGN.md substitution table).
+// paper's Figure 10(b) input suite (README "Benchmarks", fig10_pbfs).
 #pragma once
 
 #include <cstdint>

@@ -2,9 +2,8 @@
 // "`b`, then the join" as a stealable continuation — exactly the
 // continuation-stealing discipline of cilk_spawn/cilk_sync, expressed with
 // closures instead of compiler support. Any spawn/sync pattern desugars into
-// nested fork2join calls (see DESIGN.md Section 3), and each worker executes
-// in precise serial order between steals, which is what the reducer protocol
-// relies on.
+// nested fork2join calls, and each worker executes in precise serial order
+// between steals, which is what the reducer protocol relies on.
 #pragma once
 
 #include <algorithm>
@@ -21,6 +20,77 @@
 #include "runtime/worker.hpp"
 
 namespace cilkm {
+
+namespace detail {
+
+/// The strand transitions of one fork2join activation at spawn rank r,
+/// each written once and shared by the serial tail, the un-stolen fast path
+/// and the stolen slow path. Every call takes the StrandContext afresh
+/// (rt::strand()), because the strand may have migrated since the last one.
+/// With the profiler off only the pedigree moves. The helpers are forced
+/// inline: outlined, they pin this struct to the stack and add calls to
+/// the un-stolen fast path.
+struct ForkTransitions {
+  const rt::PedigreeNode* parent;  // the spawning strand's pedigree
+  std::uint64_t rank;
+  bool prof;                   // one read of obs::profiler_enabled()
+  obs::ProfileState prefix{};  // the spawning strand's totals at the spawn
+  obs::ProfileState child{};   // the child's totals at its return
+
+  /// Close the spawning strand, then run the child at prefix+[r] from leaf
+  /// rank 0 with fresh accumulators.
+  [[gnu::always_inline]] void enter_child(rt::StrandContext& sc,
+                                          const rt::PedigreeNode* node) {
+    if (prof) {
+      obs::strand_end(sc.prof);
+      prefix = sc.prof;
+      sc.prof = {};
+      obs::strand_begin(sc.prof);
+    }
+    sc.ped = {node, 0};
+  }
+
+  /// Close the child and take its totals.
+  [[gnu::always_inline]] void leave_child(rt::StrandContext& sc) {
+    if (prof) {
+      obs::strand_end(sc.prof);
+      child = sc.prof;
+    }
+  }
+
+  /// Run the continuation at rank r+1 with fresh accumulators.
+  [[gnu::always_inline]] void enter_continuation(
+      rt::StrandContext& sc) const {
+    sc.ped = {parent, rank + 1};
+    if (prof) {
+      sc.prof = {};
+      obs::strand_begin(sc.prof);
+    }
+  }
+
+  /// The join, given the continuation's totals: work adds, span and burden
+  /// take the max over the two branches, and the strand past the join runs
+  /// at rank r+2 (the sync bump).
+  [[gnu::always_inline]] void join(rt::StrandContext& sc,
+                                   const obs::ProfileState& cont) const {
+    if (prof) {
+      const obs::ProfileState b = cont;  // may alias sc.prof
+      sc.prof.work = prefix.work + child.work + b.work;
+      sc.prof.span = prefix.span + std::max(child.span, b.span);
+      sc.prof.burden = prefix.burden + std::max(child.burden, b.burden);
+      obs::strand_begin(sc.prof);
+    }
+    sc.ped = {parent, rank + 2};
+  }
+
+  /// The join after a continuation that ran inline on this strand.
+  [[gnu::always_inline]] void join_inline(rt::StrandContext& sc) const {
+    if (prof) obs::strand_end(sc.prof);
+    join(sc, sc.prof);
+  }
+};
+
+}  // namespace detail
 
 /// Run a() then b(), allowing b's side (with everything after it up to the
 /// join) to be stolen. Serial semantics: exactly a(); b();.
@@ -45,29 +115,17 @@ namespace cilkm {
 template <typename A, typename B>
 void fork2join(A&& a, B&& b) {
   rt::Worker* w = rt::Worker::current();
-  rt::PedigreeState& ped = rt::current_pedigree();
-  const rt::PedigreeNode* const spawn_parent = ped.parent;
-  const std::uint64_t spawn_rank = ped.rank;
-  rt::PedigreeNode child_node{spawn_rank, spawn_parent};
-  const bool prof = obs::profiler_enabled();
-  std::uint64_t sv_work = 0, sv_span = 0, sv_burden = 0;
-  std::uint64_t a_work = 0, a_span = 0, a_burden = 0;
-  if (prof) {
-    // Close the spawning strand and save its prefix totals; the child runs
-    // with fresh accumulators.
-    obs::ProfileState& ps = obs::current_profile();
-    obs::strand_end(ps);
-    sv_work = ps.work;
-    sv_span = ps.span;
-    sv_burden = ps.burden;
-  }
+  rt::StrandContext& sc = rt::strand();
+  detail::ForkTransitions spawn{sc.ped.parent, sc.ped.rank,
+                               obs::profiler_enabled()};
+  rt::PedigreeNode child_node{spawn.rank, spawn.parent};
   if (w != nullptr && !w->serial_spawns()) {
     rt::SpawnFrameT<std::remove_reference_t<B>> frame(&b);
     // The pedigree snapshot must be complete before the push: a thief may
     // promote the frame (and read these fields) immediately.
-    frame.ped_parent = spawn_parent;
-    frame.ped_rank = spawn_rank;
-    if (prof) {
+    frame.ped_parent = spawn.parent;
+    frame.ped_rank = spawn.rank;
+    if (spawn.prof) {
       // Like the pedigree: the profiler slots must be valid before the push.
       // The thief overwrites prof_work/span/burden, but prof_burden_left only
       // ever accumulates victim-side protocol costs.
@@ -81,68 +139,38 @@ void fork2join(A&& a, B&& b) {
     // elision, and the process survives what used to be a capacity abort.
     if (!chaos::should_fail(chaos::Site::kDequePush) &&
         w->deque().push(&frame)) {
-      ped = {&child_node, 0};
-      if (prof) {
-        obs::ProfileState& ps = obs::current_profile();
-        ps = {};
-        obs::strand_begin(ps);
-      }
+      spawn.enter_child(sc, &child_node);
       std::exception_ptr a_eptr;
       try {
         a();
       } catch (...) {
         a_eptr = std::current_exception();
       }
-      // `w` (and the thread-local pedigree slot) may be stale if a() itself
-      // migrated at an inner join; re-fetch both.
-      rt::Worker* w2 = rt::Worker::current();
-      if (prof) {
-        obs::ProfileState& ps = obs::current_profile();
-        obs::strand_end(ps);
-        a_work = ps.work;
-        a_span = ps.span;
-        a_burden = ps.burden;
-      }
-      rt::SpawnFrame* popped = w2->deque().take_if(&frame);
-      if (popped == &frame) {
+      // a() may have migrated at an inner join: re-fetch the worker and
+      // the strand context.
+      rt::StrandContext& after_a = rt::strand();
+      spawn.leave_child(after_a);
+      if (rt::Worker::current()->deque().take_if(&frame) == &frame) {
         // Fast path: not stolen. Mirrors serial execution; no view
         // operations.
-        rt::current_pedigree() = {spawn_parent, spawn_rank + 1};
+        spawn.enter_continuation(after_a);
         if (a_eptr) std::rethrow_exception(a_eptr);
-        if (prof) {
-          obs::ProfileState& ps = obs::current_profile();
-          ps = {};
-          obs::strand_begin(ps);
-        }
         b();
-        rt::current_pedigree() = {spawn_parent, spawn_rank + 2};
-        if (prof) {
-          obs::ProfileState& ps = obs::current_profile();
-          obs::strand_end(ps);
-          ps.work = sv_work + a_work + ps.work;
-          ps.span = sv_span + std::max(a_span, ps.span);
-          ps.burden = sv_burden + std::max(a_burden, ps.burden);
-          obs::strand_begin(ps);
-        }
+        spawn.join_inline(rt::strand());
         return;
       }
       // Slow path: the continuation was (or is being) stolen. b runs (or
-      // ran) on the thief at rank r+1 (fiber_main seats it from the frame).
+      // ran) on the thief at rank r+1 (the thief seats it from the frame).
       rt::Worker::join_slow(&frame);
-      if (prof) {
-        // Both branches have arrived: the thief published b's totals in the
-        // frame (before its release arrival, so they are visible here), and
-        // every victim-side protocol cost landed in prof_burden_left. This
-        // thread may not be the one that ran a() — re-fetch the slot.
-        obs::ProfileState& ps = obs::current_profile();
-        ps.work = sv_work + a_work + frame.prof_work;
-        ps.span = sv_span + std::max(a_span, frame.prof_span);
-        ps.burden =
-            sv_burden + std::max(a_burden + frame.prof_burden_left,
-                                 frame.prof_burden);
-        obs::strand_begin(ps);
+      // Both branches have arrived: the thief published b's totals in the
+      // frame (before its release arrival, so they are visible here), and
+      // every victim-side protocol cost landed in prof_burden_left.
+      obs::ProfileState b_totals{};
+      if (spawn.prof) {
+        spawn.child.burden += frame.prof_burden_left;
+        b_totals = {frame.prof_work, frame.prof_span, frame.prof_burden, 0};
       }
-      rt::current_pedigree() = {spawn_parent, spawn_rank + 2};
+      spawn.join(rt::strand(), b_totals);
       if (a_eptr) std::rethrow_exception(a_eptr);
       // Rethrow-and-clear: this frame's storage is recycled through the
       // tagged allocator, and a stale exception_ptr must never survive into
@@ -154,38 +182,17 @@ void fork2join(A&& a, B&& b) {
     }
     ++w->stats()[StatCounter::kSerialDegrades];
   }
-  // Serial execution in place, advancing the pedigree through the identical
-  // spawn/sync transitions. Three callers share this tail: the serial
-  // elision (no scheduler), a degraded (fiber-less) frame whose worker
-  // forces nested spawns serial, and a spawn whose push was refused (deque
-  // full or injected chaos fault).
-  ped = {&child_node, 0};
-  if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    ps = {};
-    obs::strand_begin(ps);
-  }
+  // Serial execution in place, through the identical transitions. Three
+  // callers share this tail: the serial elision (no scheduler), a degraded
+  // (fiber-less) frame whose worker forces nested spawns serial, and a
+  // spawn whose push was refused (deque full or injected chaos fault).
+  spawn.enter_child(sc, &child_node);
   a();
-  rt::current_pedigree() = {spawn_parent, spawn_rank + 1};
-  if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    obs::strand_end(ps);
-    a_work = ps.work;
-    a_span = ps.span;
-    a_burden = ps.burden;
-    ps = {};
-    obs::strand_begin(ps);
-  }
+  rt::StrandContext& after_a = rt::strand();
+  spawn.leave_child(after_a);
+  spawn.enter_continuation(after_a);
   b();
-  rt::current_pedigree() = {spawn_parent, spawn_rank + 2};
-  if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    obs::strand_end(ps);
-    ps.work = sv_work + a_work + ps.work;
-    ps.span = sv_span + std::max(a_span, ps.span);
-    ps.burden = sv_burden + std::max(a_burden, ps.burden);
-    obs::strand_begin(ps);
-  }
+  spawn.join_inline(rt::strand());
 }
 
 /// Run all invocables, allowing them to execute in parallel; serial order is

@@ -11,8 +11,9 @@
 // nodes, one per live fork2join activation (the node lives in the spawning
 // call's stack frame, exactly as deep as the spawn tree). A chain node is
 // immutable once published; only the leaf rank — the current strand's own
-// counter — mutates, and it lives in thread-local state that every resume
-// point (steal, self-pop, joining resume) re-establishes from the frame.
+// counter — mutates, and it lives in the thread-local StrandContext that
+// every resume point (steal, self-pop, joining resume) re-establishes from
+// the frame.
 //
 // Rank discipline, mirroring cilk_spawn/cilk_sync:
 //   - fork2join(a, b) at rank r runs `a` as the spawned child with pedigree
@@ -26,6 +27,8 @@
 
 #include <cstdint>
 
+#include "obs/profiler.hpp"
+
 namespace cilkm::rt {
 
 /// One rank of the pedigree prefix, linked toward the root. Lives on the
@@ -37,27 +40,41 @@ struct PedigreeNode {
 };
 
 /// The calling strand's pedigree: the immutable prefix chain plus the
-/// mutable leaf rank. Thread-local; re-seated from the SpawnFrame at every
-/// point where a strand (re)starts on an OS thread.
+/// mutable leaf rank. Part of the StrandContext; re-seated from the
+/// SpawnFrame at every point where a strand (re)starts on an OS thread.
 struct PedigreeState {
   const PedigreeNode* parent = nullptr;
   std::uint64_t rank = 0;
 };
 
-/// The current strand's pedigree state. Valid on any thread: workers are
-/// re-seated at strand boundaries, and a scheduler-less thread (serial
-/// elision) just advances its own thread-local copy through the identical
-/// rank discipline.
+/// Everything the runtime keeps per running strand, in one thread-local:
+/// the pedigree, the work/span profiler's accumulators (obs/profiler.hpp)
+/// and the chaos fault-suppression depth (chaos/chaos.hpp). Valid on any
+/// thread: workers re-seat it at strand boundaries, and a scheduler-less
+/// thread (serial elision) advances its own copy through the identical
+/// transitions.
+struct StrandContext {
+  PedigreeState ped;
+  obs::ProfileState prof;
+  unsigned suppress = 0;
+};
+
+/// The calling thread's StrandContext.
 ///
 /// Deliberately OUT OF LINE (pedigree.cpp, noinline): fibers migrate
 /// between OS threads at joins, and an inlined accessor lets the compiler
 /// CSE the thread-local's materialized address across the migration point —
-/// the resumed strand would then write the OLD thread's slot. The opaque
-/// call forces a fresh %fs-relative address computation on the thread that
-/// is actually running the strand. The returned reference stays valid only
-/// until the next potential migration (any fork2join / scheduler call):
-/// re-fetch after those, never cache across them.
-PedigreeState& current_pedigree() noexcept;
+/// the resumed strand would then write the OLD thread's context (observed
+/// as a TSan race between fork2join's post-join reseat and the departed
+/// thread's own spawns). The opaque call forces a fresh %fs-relative
+/// address computation on the thread that is actually running the strand.
+/// A returned reference stays valid only until the next potential
+/// migration (any fork2join or scheduler call): re-fetch after those, never
+/// reuse one taken before them.
+StrandContext& strand() noexcept;
+
+/// The current strand's pedigree state (a view of strand()).
+inline PedigreeState& current_pedigree() noexcept { return strand().ped; }
 
 /// Number of ranks in the pedigree (prefix length + the leaf). Linear walk;
 /// meant for tests and diagnostics, not hot paths.

@@ -135,7 +135,6 @@ class Scheduler {
 
  private:
   friend class Worker;
-  friend void fiber_main(void* arg);
 
   void start_threads_locked();
   void worker_thread(Worker* w);
@@ -166,7 +165,7 @@ class Scheduler {
   std::exception_ptr root_eptr_;
 
   // Mid-run idle parking (see parking.hpp). Producers: Deque::push, the
-  // root-completion path in fiber_main.
+  // root-completion path in Worker::run_root.
   ParkingLot parking_;
 
   // Pool lifecycle. All fields below are guarded by lifecycle_mu_; workers

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <thread>
+#include <utility>
 
 #include "chaos/chaos.hpp"
 #include "obs/profiler.hpp"
@@ -15,7 +16,8 @@
 
 namespace cilkm::rt {
 
-thread_local Worker* tls_worker = nullptr;
+constinit thread_local Worker* tls_worker
+    __attribute__((tls_model("initial-exec"))) = nullptr;
 
 Worker::Worker(Scheduler* sched, unsigned id) : id_(id), sched_(sched) {
   // 0 = "half": take ceil(avail/2) up to the deque's transaction cap.
@@ -35,21 +37,54 @@ Worker::~Worker() {
 // to views_ (the ViewStoreSet); this file only sequences the join protocol.
 // ---------------------------------------------------------------------------
 
-void Worker::merge_left(ViewSetDeposit* in) {
-  // Merges allocate (monoid combines, table growth) inside the join
-  // protocol, outside any SpawnFrame::eptr catch: injected allocator faults
-  // are suppressed here, injected protocol delays are not.
+namespace {
+
+/// One step of the join protocol, timed for the profiler: the view
+/// operations here allocate (monoid combines, table growth) outside any
+/// SpawnFrame::eptr catch, so injected allocator faults are suppressed for
+/// the step; its chaos delay site still fires. With the profiler on, the
+/// step's time is charged to `burden`; off, the profiler costs one relaxed
+/// load and a branch. The suppression scope never spans a context switch:
+/// the count belongs to the OS thread.
+template <typename Op>
+void protocol_step(chaos::Site delay, std::uint64_t& burden, Op&& op) {
   chaos::SuppressFaults suppress;
-  chaos::maybe_delay(chaos::Site::kMergeDelay);
-  Tracer::instance().record(id_, TraceEvent::kMerge, in);
-  views_.merge_deposit_left(in);
+  chaos::maybe_delay(delay);
+  if (!obs::profiler_enabled()) {
+    op();
+    return;
+  }
+  const std::uint64_t t0 = now_ns();
+  op();
+  burden += now_ns() - t0;
 }
 
-void Worker::merge_right(ViewSetDeposit* in) {
-  chaos::SuppressFaults suppress;
-  chaos::maybe_delay(chaos::Site::kMergeDelay);
-  Tracer::instance().record(id_, TraceEvent::kMerge, in);
-  views_.merge_deposit_right(in);
+}  // namespace
+
+void Worker::merge_left(ViewSetDeposit* in, std::uint64_t& burden) {
+  protocol_step(chaos::Site::kMergeDelay, burden, [&] {
+    Tracer::instance().record(id_, TraceEvent::kMerge, in);
+    views_.merge_deposit_left(in);
+  });
+}
+
+void Worker::merge_right(ViewSetDeposit* in, std::uint64_t& burden) {
+  protocol_step(chaos::Site::kMergeDelay, burden, [&] {
+    Tracer::instance().record(id_, TraceEvent::kMerge, in);
+    views_.merge_deposit_right(in);
+  });
+}
+
+void Worker::complete_join(SpawnFrame* frame, std::uint64_t& burden) {
+  protocol_step(chaos::Site::kInstallDelay, burden,
+                [&] { views_.install_deposit(&frame->left_views); });
+  merge_right(&frame->right_views, burden);
+}
+
+void Worker::resume_parked(SpawnFrame* frame) {
+  current_fiber_ = frame->parked_fiber;
+  tsan::switch_to(frame->parked_fiber->tsan_fiber);
+  cilkm_ctx_switch(&sched_ctx_, &frame->parked);
 }
 
 void Worker::drain_pending() {
@@ -59,152 +94,117 @@ void Worker::drain_pending() {
   }
 }
 
-/// Trampoline for every fiber: runs either the root task or a stolen branch,
-/// then performs the thief side of the join protocol. Never returns.
-void fiber_main(void* arg) {
-  auto* self = static_cast<Fiber*>(arg);
-  Worker* w = Worker::current();
-  w->drain_pending();
-  SpawnFrame* frame = w->launch_frame_;
-  w->launch_frame_ = nullptr;
-
+void Worker::run_root() {
+  // Every run() starts from the root pedigree, so pedigrees (and DPRNG
+  // streams) are reproducible per run, not per pool lifetime.
   const bool prof = obs::profiler_enabled();
-  if (frame == nullptr) {
-    // Root task: every run() starts from the root pedigree, so pedigrees
-    // (and DPRNG streams) are reproducible per run, not per pool lifetime.
-    current_pedigree() = PedigreeState{};
-    if (prof) {
-      // The root strand opens the run's outermost subcomputation; its final
-      // combined state IS the run's work/span/burden.
-      obs::ProfileState& ps = obs::current_profile();
-      ps = {};
-      obs::strand_begin(ps);
-    }
-    Scheduler* sched = w->scheduler();
-    try {
-      sched->root_fn_();
-    } catch (...) {
-      sched->root_eptr_ = std::current_exception();
-    }
-    Worker* w2 = Worker::current();  // the root may have migrated
-    if (prof) {
-      obs::ProfileState& ps = obs::current_profile();  // re-fetch: migration
-      obs::strand_end(ps);
-      obs::Profiler::instance().record_run(ps);
-    }
-    w2->views().collapse_into_leftmosts();
-    w2->pending_recycle_ = w2->current_fiber_;
-    w2->current_fiber_ = nullptr;
-    Tracer::instance().record(w2->id(), TraceEvent::kRootDone, nullptr);
-    w2->scheduler()->done_.store(true, std::memory_order_release);
-    // Idle workers may be parked on the lot; they must all observe the done
-    // flag to quiesce the run.
-    w2->stats_[StatCounter::kWakes] += w2->scheduler()->parking_.wake_all();
-    tsan::switch_to(w2->sched_tsan_);
-    cilkm_ctx_switch(&self->ctx, &w2->sched_ctx_);
-    __builtin_unreachable();
+  StrandContext& sc = strand();
+  sc.ped = {};
+  if (prof) {
+    // The root strand opens the run's outermost subcomputation; its final
+    // combined state IS the run's work/span/burden.
+    sc.prof = {};
+    obs::strand_begin(sc.prof);
   }
+  Scheduler* sched = Worker::current()->sched_;
+  try {
+    sched->root_fn_();
+  } catch (...) {
+    sched->root_eptr_ = std::current_exception();
+  }
+  Worker* w = Worker::current();  // the root may have migrated
+  if (prof) {
+    StrandContext& done = strand();
+    obs::strand_end(done.prof);
+    obs::Profiler::instance().record_run(done.prof);
+  }
+  w->views_.collapse_into_leftmosts();
+  Tracer::instance().record(w->id_, TraceEvent::kRootDone, nullptr);
+  sched->done_.store(true, std::memory_order_release);
+  // Idle workers may be parked on the lot; they must all observe the done
+  // flag to quiesce the run.
+  w->stats_[StatCounter::kWakes] += sched->parking_.wake_all();
+}
 
+Context* Worker::run_stolen(SpawnFrame* frame) {
   // A promoted frame resumes the continuation strand: rank ped_rank + 1
   // under the spawn-time prefix, exactly where the victim's fast path would
-  // have resumed it. Seating this thread-local here covers thieves AND
-  // self-pops (both launch through fiber_main).
-  current_pedigree() = {frame->ped_parent, frame->ped_rank + 1};
+  // have resumed it. Seating the strand context here covers thieves and
+  // self-pops, fibered and degraded launches alike.
+  const bool prof = obs::profiler_enabled();
+  StrandContext& sc = strand();
+  sc.ped = {frame->ped_parent, frame->ped_rank + 1};
   if (prof) {
     // The stolen branch is a fresh subcomputation; seed its burden with the
     // steal latency that delivered this frame (0 for a self-pop), so the
     // scheduling cost of getting here is charged to this path.
-    obs::ProfileState& ps = obs::current_profile();
-    ps = {};
-    ps.burden = w->launch_burden_ns_;
-    obs::strand_begin(ps);
+    sc.prof = {};
+    sc.prof.burden = Worker::current()->launch_burden_ns_;
+    obs::strand_begin(sc.prof);
   }
   try {
     frame->invoke_b(frame);
   } catch (...) {
     frame->eptr = std::current_exception();
   }
-  Worker* w2 = Worker::current();
+  Worker* w = Worker::current();  // b may have migrated
   if (prof) {
     // Publish b's totals in the frame BEFORE any arrival announcement: the
     // release fetch_add below (or the victim's acquire load of arrivals)
-    // makes them visible to whoever resumes the continuation.
-    obs::ProfileState& ps = obs::current_profile();  // re-fetch: migration
-    obs::strand_end(ps);
-    frame->prof_work = ps.work;
-    frame->prof_span = ps.span;
-    frame->prof_burden = ps.burden;
+    // makes them visible to whoever resumes the continuation. Burden that
+    // the steps below add after an arrival is read by the continuation
+    // this thread resumes, so it is ordered before that read too.
+    StrandContext& done = strand();
+    obs::strand_end(done.prof);
+    frame->prof_work = done.prof.work;
+    frame->prof_span = done.prof.span;
+    frame->prof_burden = done.prof.burden;
   }
   if (frame->arrivals.load(std::memory_order_acquire) == 1) {
     // The victim has already parked (its arrival is announced only after
     // its deposit and context save are complete). Merge its serially
     // earlier views on the left of ours and perform the joining steal —
     // resume the parked continuation on this worker, no deposit needed.
-    if (prof) {
-      // Hypermerge burden on the thief path. The continuation resumes on
-      // THIS thread right below, so the post-publish store is still ordered
-      // before its read of prof_burden.
-      const std::uint64_t t0 = now_ns();
-      w2->merge_left(&frame->left_views);
-      frame->prof_burden += now_ns() - t0;
-    } else {
-      w2->merge_left(&frame->left_views);
-    }
-    ++w2->stats_[StatCounter::kJoiningSteals];
-    Tracer::instance().record(w2->id(), TraceEvent::kResumeByThief, frame);
-    w2->pending_recycle_ = w2->current_fiber_;
-    w2->current_fiber_ = frame->parked_fiber;
-    tsan::switch_to(frame->parked_fiber->tsan_fiber);
-    cilkm_ctx_switch(&self->ctx, &frame->parked);
-    __builtin_unreachable();
-  }
-  // Deposit our views on the right, THEN announce the arrival: the other
-  // side must never observe a half-built deposit.
-  Tracer::instance().record(w2->id(), TraceEvent::kDepositRight, frame);
-  {
-    // Scoped (not function-wide) suppression: this fiber never returns, so
-    // an open SuppressFaults across a context switch would leak the
-    // thread-local count and mute injection on this worker forever.
-    chaos::SuppressFaults suppress;
-    chaos::maybe_delay(chaos::Site::kDepositDelay);
-    if (prof) {
-      // View-transferal burden, charged before the arrival announcement so
-      // the victim's acquire observes the final value.
-      const std::uint64_t t0 = now_ns();
-      w2->views().deposit_ambient(&frame->right_views);
-      frame->prof_burden += now_ns() - t0;
-    } else {
-      w2->views().deposit_ambient(&frame->right_views);
-    }
-  }
-  if (frame->arrivals.fetch_add(1, std::memory_order_acq_rel) == 1) {
-    // The victim parked in the meantime and we arrived last: both deposits
-    // exist and our ambient is empty. Reinstall the victim's (left) views,
-    // merge our own deposit back on the right, and resume the continuation.
-    {
-      chaos::SuppressFaults suppress;
-      chaos::maybe_delay(chaos::Site::kInstallDelay);
-      if (prof) {
-        // Same-thread resume below, so this post-fetch_add burden store is
-        // still ordered before the continuation's read.
-        const std::uint64_t t0 = now_ns();
-        w2->views().install_deposit(&frame->left_views);
-        w2->merge_right(&frame->right_views);
-        frame->prof_burden += now_ns() - t0;
-      } else {
-        w2->views().install_deposit(&frame->left_views);
-        w2->merge_right(&frame->right_views);
-      }
-    }
-    ++w2->stats_[StatCounter::kJoiningSteals];
-    Tracer::instance().record(w2->id(), TraceEvent::kResumeByThief, frame);
-    w2->pending_recycle_ = w2->current_fiber_;
-    w2->current_fiber_ = frame->parked_fiber;
-    tsan::switch_to(frame->parked_fiber->tsan_fiber);
-    cilkm_ctx_switch(&self->ctx, &frame->parked);
+    w->merge_left(&frame->left_views, frame->prof_burden);
   } else {
-    // First arriver: the victim will resume the continuation.
-    w2->pending_recycle_ = w2->current_fiber_;
+    // Deposit our views on the right, THEN announce the arrival: the other
+    // side must never observe a half-built deposit.
+    Tracer::instance().record(w->id_, TraceEvent::kDepositRight, frame);
+    protocol_step(chaos::Site::kDepositDelay, frame->prof_burden,
+                  [&] { w->views_.deposit_ambient(&frame->right_views); });
+    if (frame->arrivals.fetch_add(1, std::memory_order_acq_rel) == 0) {
+      return nullptr;  // first arriver: the victim resumes the continuation
+    }
+    // The victim parked in the meantime and we arrived last: both deposits
+    // exist and our ambient is empty.
+    w->complete_join(frame, frame->prof_burden);
+  }
+  ++w->stats_[StatCounter::kJoiningSteals];
+  Tracer::instance().record(w->id_, TraceEvent::kResumeByThief, frame);
+  return &frame->parked;
+}
+
+/// Trampoline for every fiber: runs either the root task or a promoted
+/// frame's continuation, then switches to whatever runs next. Never returns.
+void fiber_main(void* arg) {
+  auto* self = static_cast<Fiber*>(arg);
+  Worker* w = Worker::current();
+  w->drain_pending();
+  SpawnFrame* frame = std::exchange(w->launch_frame_, nullptr);
+  Context* resume = nullptr;
+  if (frame == nullptr) {
+    Worker::run_root();
+  } else {
+    resume = Worker::run_stolen(frame);
+  }
+  Worker* w2 = Worker::current();  // the strand may have migrated
+  w2->pending_recycle_ = w2->current_fiber_;
+  if (resume != nullptr) {
+    w2->current_fiber_ = frame->parked_fiber;
+    tsan::switch_to(frame->parked_fiber->tsan_fiber);
+    cilkm_ctx_switch(&self->ctx, resume);
+  } else {
+    // Root done, or first arriver: back to this worker's scheduler loop.
     w2->current_fiber_ = nullptr;
     tsan::switch_to(w2->sched_tsan_);
     cilkm_ctx_switch(&self->ctx, &w2->sched_ctx_);
@@ -248,151 +248,41 @@ void Worker::launch(SpawnFrame* frame_or_null_root) {
   // Control returns here when the fiber parks or finishes.
 }
 
-/// The fiber-less twin of fiber_main: same pedigree seating, same profiler
-/// publication, same join protocol — but executed as an ordinary call on
-/// the scheduler stack, with serial_mode_ forcing every nested fork2join
-/// onto its serial-inline path so nothing below can push, park, or migrate.
-/// The two resume branches context-switch into the parked continuation
-/// exactly as the scheduler loop's kResumeSelf path does; control returns
-/// here when some fiber on this thread next yields to the scheduler
-/// context, and the loop's drain_pending picks up whatever that fiber left.
 void Worker::run_degraded(SpawnFrame* frame) {
   serial_mode_ = true;
-  const bool prof = obs::profiler_enabled();
   if (frame == nullptr) {
-    // Degraded root: the entire run executes serially on this thread.
-    current_pedigree() = PedigreeState{};
-    if (prof) {
-      obs::ProfileState& ps = obs::current_profile();
-      ps = {};
-      obs::strand_begin(ps);
-    }
-    try {
-      sched_->root_fn_();
-    } catch (...) {
-      sched_->root_eptr_ = std::current_exception();
-    }
+    run_root();  // the entire run executes serially on this thread
     serial_mode_ = false;
-    if (prof) {
-      obs::ProfileState& ps = obs::current_profile();
-      obs::strand_end(ps);
-      obs::Profiler::instance().record_run(ps);
-    }
-    views_.collapse_into_leftmosts();
-    Tracer::instance().record(id_, TraceEvent::kRootDone, nullptr);
-    sched_->done_.store(true, std::memory_order_release);
-    stats_[StatCounter::kWakes] += sched_->parking_.wake_all();
     return;
   }
-  current_pedigree() = {frame->ped_parent, frame->ped_rank + 1};
-  if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    ps = {};
-    ps.burden = launch_burden_ns_;
-    obs::strand_begin(ps);
-  }
-  try {
-    frame->invoke_b(frame);
-  } catch (...) {
-    frame->eptr = std::current_exception();
-  }
+  const bool resume = run_stolen(frame) != nullptr;
   serial_mode_ = false;
-  if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    obs::strand_end(ps);
-    frame->prof_work = ps.work;
-    frame->prof_span = ps.span;
-    frame->prof_burden = ps.burden;
-  }
-  if (frame->arrivals.load(std::memory_order_acquire) == 1) {
-    // Victim already parked: merge its views left of ours and perform the
-    // joining steal (merge_left suppresses faults and takes the merge-delay
-    // consult internally).
-    if (prof) {
-      const std::uint64_t t0 = now_ns();
-      merge_left(&frame->left_views);
-      frame->prof_burden += now_ns() - t0;
-    } else {
-      merge_left(&frame->left_views);
-    }
-    ++stats_[StatCounter::kJoiningSteals];
-    Tracer::instance().record(id_, TraceEvent::kResumeByThief, frame);
-    current_fiber_ = frame->parked_fiber;
-    tsan::switch_to(frame->parked_fiber->tsan_fiber);
-    cilkm_ctx_switch(&sched_ctx_, &frame->parked);
-    return;
-  }
-  Tracer::instance().record(id_, TraceEvent::kDepositRight, frame);
-  {
-    chaos::SuppressFaults suppress;
-    chaos::maybe_delay(chaos::Site::kDepositDelay);
-    if (prof) {
-      const std::uint64_t t0 = now_ns();
-      views_.deposit_ambient(&frame->right_views);
-      frame->prof_burden += now_ns() - t0;
-    } else {
-      views_.deposit_ambient(&frame->right_views);
-    }
-  }
-  if (frame->arrivals.fetch_add(1, std::memory_order_acq_rel) == 1) {
-    {
-      chaos::SuppressFaults suppress;
-      chaos::maybe_delay(chaos::Site::kInstallDelay);
-      if (prof) {
-        const std::uint64_t t0 = now_ns();
-        views_.install_deposit(&frame->left_views);
-        merge_right(&frame->right_views);
-        frame->prof_burden += now_ns() - t0;
-      } else {
-        views_.install_deposit(&frame->left_views);
-        merge_right(&frame->right_views);
-      }
-    }
-    ++stats_[StatCounter::kJoiningSteals];
-    Tracer::instance().record(id_, TraceEvent::kResumeByThief, frame);
-    current_fiber_ = frame->parked_fiber;
-    tsan::switch_to(frame->parked_fiber->tsan_fiber);
-    cilkm_ctx_switch(&sched_ctx_, &frame->parked);
-    return;
-  }
-  // First arriver: the victim resumes the continuation; back to the loop.
+  // Resuming switches into the parked continuation exactly as the
+  // scheduler loop's kResumeSelf path does; control returns here when some
+  // fiber on this thread next yields to the scheduler context, and the
+  // loop's drain_pending picks up whatever that fiber left. A first
+  // arriver just returns to the loop.
+  if (resume) resume_parked(frame);
 }
 
 void Worker::join_slow(SpawnFrame* frame) {
   Worker* w = Worker::current();
-  const bool prof = obs::profiler_enabled();
+  // Victim-side protocol costs land in prof_burden_left, which the caller
+  // (fork2join's slow path) reads on whichever thread resumes it: directly
+  // below, or after the park via the arrival announcement (scheduler loop,
+  // release fetch_add) that orders these stores before a thief's resume.
   if (frame->arrivals.load(std::memory_order_acquire) == 1) {
     // The thief has already deposited and left: merge its views on the
     // right of ours and carry on without parking.
-    if (prof) {
-      // Hypermerge burden on the victim path; the caller (fork2join's slow
-      // path, same thread) reads prof_burden_left right after we return.
-      const std::uint64_t t0 = now_ns();
-      w->merge_right(&frame->right_views);
-      frame->prof_burden_left += now_ns() - t0;
-    } else {
-      w->merge_right(&frame->right_views);
-    }
+    w->merge_right(&frame->right_views, frame->prof_burden_left);
     return;
   }
   // Park: transfer our views (serially earlier than the thief's) into the
   // frame, suspend this fiber, and let the scheduler announce our arrival
   // once the context is fully saved.
   Tracer::instance().record(w->id(), TraceEvent::kDepositLeft, frame);
-  {
-    chaos::SuppressFaults suppress;
-    chaos::maybe_delay(chaos::Site::kDepositDelay);
-    if (prof) {
-      // View-transferal burden on the victim path, written before the park;
-      // the arrival announcement (scheduler loop, release fetch_add) orders
-      // it before a thief-side resume reads it.
-      const std::uint64_t t0 = now_ns();
-      w->views().deposit_ambient(&frame->left_views);
-      frame->prof_burden_left += now_ns() - t0;
-    } else {
-      w->views().deposit_ambient(&frame->left_views);
-    }
-  }
+  protocol_step(chaos::Site::kDepositDelay, frame->prof_burden_left,
+                [&] { w->views_.deposit_ambient(&frame->left_views); });
   Tracer::instance().record(w->id(), TraceEvent::kPark, frame);
   frame->parked_fiber = w->current_fiber_;
   w->pending_park_ = frame;
@@ -507,27 +397,12 @@ void Worker::scheduler_loop() {
       if (frame->arrivals.fetch_add(1, std::memory_order_acq_rel) == 1) {
         // The thief finished in the meantime: both deposits exist. Take our
         // own views back, merge the thief's on the right, and resume the
-        // continuation ourselves.
-        {
-          chaos::SuppressFaults suppress;
-          chaos::maybe_delay(chaos::Site::kInstallDelay);
-          if (obs::profiler_enabled()) {
-            // Reinstall + hypermerge burden on the victim path; the
-            // continuation resumes on this thread right below.
-            const std::uint64_t t0 = now_ns();
-            views_.install_deposit(&frame->left_views);
-            merge_right(&frame->right_views);
-            frame->prof_burden_left += now_ns() - t0;
-          } else {
-            views_.install_deposit(&frame->left_views);
-            merge_right(&frame->right_views);
-          }
-        }
+        // continuation ourselves (on this thread, so the burden stores are
+        // ordered before its read).
+        complete_join(frame, frame->prof_burden_left);
         progress_.fetch_add(1, std::memory_order_relaxed);
         Tracer::instance().record(id_, TraceEvent::kResumeSelf, frame);
-        current_fiber_ = frame->parked_fiber;
-        tsan::switch_to(frame->parked_fiber->tsan_fiber);
-        cilkm_ctx_switch(&sched_ctx_, &frame->parked);
+        resume_parked(frame);
         // The resumed continuation ran (and may have spawned): restart the
         // idle backoff from the spin phase rather than parking immediately.
         idle_rounds = 0;
@@ -588,7 +463,7 @@ void print_assert_context(std::FILE* out) {
   constexpr unsigned kMaxDepth = 128;
   std::uint64_t ranks[kMaxDepth];
   unsigned depth = 0;
-  const PedigreeState& ped = current_pedigree();
+  const PedigreeState& ped = strand().ped;
   const PedigreeNode* n = ped.parent;
   for (; n != nullptr && depth < kMaxDepth; n = n->parent) {
     ranks[depth++] = n->rank;

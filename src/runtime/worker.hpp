@@ -42,9 +42,9 @@ class alignas(1024) Worker {
   Deque& deque() noexcept { return deque_; }
 
   /// True while this worker runs a degraded (fiber-less) frame on its
-  /// scheduler stack: fork2join then executes children serially in place —
-  /// nothing is pushed, so the frame cannot park and the OS-thread stack
-  /// unwinds synchronously (see run_degraded).
+  /// scheduler stack, join protocol included: fork2join then executes
+  /// children serially in place — nothing is pushed, so the frame cannot
+  /// park and the OS-thread stack unwinds synchronously (see run_degraded).
   bool serial_spawns() const noexcept { return serial_mode_; }
 
   /// Monotonic scheduling-progress tick (launches, degraded runs, join
@@ -83,10 +83,32 @@ class alignas(1024) Worker {
 
   /// Graceful-degradation path when no fiber stack could be acquired (real
   /// mmap exhaustion after StackPool's backoff, or an injected chaos
-  /// fault): run the frame (or root) to completion on the scheduler's own
-  /// OS-thread stack with serial_spawns() forcing nested fork2joins serial,
-  /// then perform this frame's join protocol exactly as fiber_main would.
+  /// fault): run the frame (or root) on the scheduler's own OS-thread stack
+  /// through the same run_root / run_stolen as fiber_main, with
+  /// serial_spawns() forcing nested fork2joins serial so nothing below can
+  /// push, park, or migrate.
   void run_degraded(SpawnFrame* frame_or_null_root);
+
+  /// The root task, then the run's completion: collapse the views, raise
+  /// the done flag, wake every parked worker. Static because the root may
+  /// migrate: every worker access after it goes through current().
+  static void run_root();
+
+  /// The thief side of the join, for a promoted frame: seat the strand
+  /// context from the frame, run the continuation b, publish its profile
+  /// totals, then either take the joining steal (the victim already
+  /// parked) or deposit and announce the arrival, completing the join if
+  /// this side arrived last. Returns the parked continuation to resume, or
+  /// nullptr when this side arrived first and the victim resumes. Static
+  /// for the same reason as run_root.
+  static Context* run_stolen(SpawnFrame* frame);
+
+  /// The last arriver's step: reinstall the victim's (left) views and merge
+  /// the thief's deposit on the right, charging the profiler's `burden`.
+  void complete_join(SpawnFrame* frame, std::uint64_t& burden);
+
+  /// Switch from the scheduler context into a parked continuation.
+  void resume_parked(SpawnFrame* frame);
 
   void drain_pending();
 
@@ -104,11 +126,12 @@ class alignas(1024) Worker {
   /// with each consecutive re-park, escalating the backstop.
   void park_idle(unsigned episode_parks);
 
-  // Trace-emitting wrappers around the views-layer merges, so every merge
-  // in the join protocol is recorded exactly once (the views layer knows
-  // nothing about workers or tracing).
-  void merge_left(ViewSetDeposit* in);
-  void merge_right(ViewSetDeposit* in);
+  // The join protocol's view merges, each traced here exactly once (the
+  // views layer knows nothing about workers or tracing) and timed by
+  // protocol_step (worker.cpp): `in` is merged on the left or right of the
+  // ambient views, and the time is charged to the profiler's `burden`.
+  void merge_left(ViewSetDeposit* in, std::uint64_t& burden);
+  void merge_right(ViewSetDeposit* in, std::uint64_t& burden);
 
   // Hot/cold member layout (see README "Steal path"). First line: identity
   // and the fiber-switch state touched on every launch/park/resume.
@@ -128,7 +151,7 @@ class alignas(1024) Worker {
 
   /// Burden seed for the next launch (profiling only): the steal latency
   /// that delivered the frame about to be launched, or 0 for a self-pop.
-  /// fiber_main charges it to the stolen branch's burdened span.
+  /// run_stolen charges it to the stolen branch's burdened span.
   std::uint64_t launch_burden_ns_ = 0;
 
   // Steal-side state, on its own line(s): touched only while idle-stealing,
@@ -159,8 +182,12 @@ static_assert(alignof(Worker) == 1024,
 /// so every runtime-linked binary gets diagnosable aborts.
 void install_assert_context() noexcept;
 
-/// TLS pointer to the calling thread's worker.
-extern thread_local Worker* tls_worker;
+/// TLS pointer to the calling thread's worker. constinit and initial-exec:
+/// every read is one fresh %fs-relative load with no TLS-wrapper call, so
+/// a strand that migrated at a join reads its new thread's worker (a
+/// __tls_get_addr address may be reused across the migrating call).
+extern constinit thread_local Worker* tls_worker
+    __attribute__((tls_model("initial-exec")));
 
 inline Worker* Worker::current() noexcept { return tls_worker; }
 

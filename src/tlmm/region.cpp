@@ -6,7 +6,8 @@
 
 namespace cilkm::tlmm {
 
-thread_local std::byte* tls_region_base = nullptr;
+constinit thread_local std::byte* tls_region_base
+    __attribute__((tls_model("initial-exec"))) = nullptr;
 
 WorkerRegion::WorkerRegion(std::size_t capacity) {
   capacity_ = (capacity + kPageSize - 1) / kPageSize * kPageSize;

@@ -1,5 +1,5 @@
-// Fast user-space emulation of a worker's TLMM region (DESIGN.md
-// substitution (b)). Each worker owns one contiguous, lazily committed
+// Fast user-space emulation of a worker's TLMM region (mm_policy; README
+// "Policy matrix"). Each worker owns one contiguous, lazily committed
 // private region; a reducer stores a byte offset into it (its tlmm_addr).
 // The hardware page-table walk of TLMM-Linux is replaced by one initial-exec
 // TLS load of the current worker's region base, so a reducer lookup costs
@@ -40,9 +40,11 @@ class WorkerRegion {
   std::size_t capacity_ = 0;
 };
 
-/// The executing worker's region base. Declared with initial-exec TLS model
-/// so an access compiles to a single fs:-relative load inside this binary.
-extern thread_local std::byte* tls_region_base;
+/// The executing worker's region base. constinit and initial-exec: an
+/// access compiles to a single fs:-relative load with no TLS-wrapper call,
+/// fresh after every call that may migrate the strand (see tls_worker).
+extern constinit thread_local std::byte* tls_region_base
+    __attribute__((tls_model("initial-exec")));
 
 /// Install/clear the current thread's region (done by the scheduler when a
 /// worker thread starts/stops, and by tests).

@@ -13,11 +13,14 @@
 #include <memory>
 #include <new>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "chaos/chaos.hpp"
 #include "mem/internal_alloc.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "reducers/reducers.hpp"
 #include "runtime/api.hpp"
 #include "runtime/deque.hpp"
@@ -167,6 +170,90 @@ TEST(ChaosDegradation, FiberFaultsFallBackToTheSchedulerStack) {
   cilkm::reducer<cilkm::op_add<std::uint64_t>, cilkm::flat_policy> red;
   sched.run([&] { count_tree(red, 10); });
   EXPECT_EQ(red.get_value(), 1024u);
+}
+
+/// Irregular fork tree whose shape is chosen by DPRNG draws: every node
+/// draws, every leaf logs (draw, tail) by path and yields to provoke steals.
+/// A pedigree slip in any frame changes a draw, and with it the tree.
+using DrawLog = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+void draw_tree(cilkm::Dprng& rng, unsigned depth, std::uint64_t path,
+               DrawLog* log) {
+  const std::uint64_t r = rng.next();
+  if (depth == 0 || r % 3 == 0) {
+    (*log)[static_cast<std::size_t>(path)] = {r, rng.next()};
+    std::this_thread::yield();
+    return;
+  }
+  cilkm::fork2join([&] { draw_tree(rng, depth - 1, 2 * path + 1, log); },
+                   [&] { draw_tree(rng, depth - 1, 2 * path + 2, log); });
+}
+
+DrawLog tree_draws(std::uint64_t seed, unsigned depth) {
+  cilkm::Dprng rng(seed);
+  DrawLog log(std::size_t{1} << (depth + 1), {0, 0});
+  draw_tree(rng, depth, 0, &log);
+  return log;
+}
+
+chaos::Config fiber_faults(double p) {
+  chaos::Config cfg;
+  cfg.p = p;
+  cfg.sites = chaos::site_bit(chaos::Site::kFiberAcquire);
+  cfg.seed = 0x2223;
+  return cfg;
+}
+
+TEST(ChaosDegradation, DegradedFramesKeepPedigreeStreams) {
+  // The serial elision runs on this (non-worker) thread: never injected.
+  constexpr std::uint64_t kSeed = 0xd1ced1ce;
+  DrawLog expect;
+  {
+    cilkm::rt::PedigreeScope scope;
+    expect = tree_draws(kSeed, 9);
+  }
+  cilkm::Scheduler sched(4);
+  for (const double p : {1.0, 0.5}) {
+    ChaosGuard guard(fiber_faults(p));
+    sched.reset_stats();
+    for (int round = 0; round < 3; ++round) {
+      DrawLog got;
+      sched.run([&] { got = tree_draws(kSeed, 9); });
+      EXPECT_EQ(got, expect) << "p=" << p << " round " << round;
+    }
+    // p = 1 degrades the root, so the whole run is one degraded frame;
+    // p = 0.5 mixes fibered and degraded frames under real steals.
+    const cilkm::WorkerStats stats = sched.aggregate_stats();
+    EXPECT_GE(stats[StatCounter::kFiberFallbacks], 1u) << "p=" << p;
+    if (p < 1.0) EXPECT_GE(stats[StatCounter::kFibersAllocated], 1u);
+  }
+}
+
+/// Disable and clear the process-wide profiler on scope exit.
+struct ProfilerGuard {
+  ProfilerGuard() {
+    cilkm::obs::Profiler::instance().reset();
+    cilkm::obs::Profiler::instance().enable();
+  }
+  ~ProfilerGuard() {
+    cilkm::obs::Profiler::instance().disable();
+    cilkm::obs::Profiler::instance().reset();
+  }
+};
+
+TEST(ChaosDegradation, DegradedFramesKeepProfileBounds) {
+  cilkm::Scheduler sched(4);
+  for (const double p : {1.0, 0.5}) {
+    ChaosGuard guard(fiber_faults(p));
+    ProfilerGuard profiling;
+    sched.run([&] { tree_draws(0xd1ced1ce, 9); });
+    const cilkm::obs::RunProfile prof =
+        cilkm::obs::Profiler::instance().totals();
+    ASSERT_EQ(prof.runs, 1u) << "p=" << p;
+    EXPECT_GT(prof.span_ns, 0u) << "p=" << p;
+    EXPECT_LE(prof.span_ns, prof.work_ns) << "p=" << p;
+    EXPECT_GE(prof.burdened_span_ns, prof.span_ns) << "p=" << p;
+  }
 }
 
 // -------------------------------------------------------- allocator OOM

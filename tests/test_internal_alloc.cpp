@@ -226,6 +226,34 @@ TEST(InternalAlloc, CrossMagazineFreeKeepsBooksBalanced) {
   EXPECT_TRUE(alloc.leak_report().clean);
 }
 
+TEST(InternalAlloc, FreeReconciledBeforeItsAllocKeepsPeakBounded) {
+  // The freeing thread folds its negative delta in first, so the live
+  // counters dip below zero until the allocating thread reconciles. That
+  // dip must not be recorded as a ~1.8e19 peak.
+  const Topology topo = Topology::flat(4);
+  InternalAlloc alloc(&topo);
+  InternalAlloc::Magazine alloc_mag, free_mag;
+  constexpr int kBlocks = 10;
+  std::vector<void*> ptrs;
+  std::thread allocator([&] {
+    for (int i = 0; i < kBlocks; ++i) {
+      ptrs.push_back(alloc.allocate(64, AllocTag::kViews, &alloc_mag));
+    }
+  });
+  allocator.join();
+  std::thread freer([&] {
+    for (void* p : ptrs) alloc.deallocate(p, 64, AllocTag::kViews, &free_mag);
+    alloc.flush(free_mag);
+  });
+  freer.join();
+  alloc.flush(alloc_mag);
+  const auto stats = alloc.tag_stats(AllocTag::kViews);
+  EXPECT_EQ(stats.live_blocks, 0u);
+  EXPECT_LE(stats.peak_blocks, static_cast<std::uint64_t>(kBlocks));
+  EXPECT_LE(stats.peak_bytes, static_cast<std::uint64_t>(kBlocks) * 64);
+  EXPECT_TRUE(alloc.leak_report().clean);
+}
+
 TEST(InternalAlloc, CrossThreadFreeOnProcessInstanceIsSafe) {
   auto& alloc = InternalAlloc::instance();
   alloc.stats_sync();

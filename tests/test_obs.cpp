@@ -136,11 +136,11 @@ TEST(SerialElision, ProfilesOutsideTheScheduler) {
   // accounting: spawning strands still split, so parallelism > 1.
   Profiler::instance().reset();
   Profiler::instance().enable();
-  auto& ps = cilkm::obs::current_profile();
+  auto& ps = cilkm::rt::strand().prof;
   ps = {};
   cilkm::obs::strand_begin(ps);
   fib_spawn(15);
-  auto& ps2 = cilkm::obs::current_profile();
+  auto& ps2 = cilkm::rt::strand().prof;
   cilkm::obs::strand_end(ps2);
   EXPECT_LT(ps2.span, ps2.work);
   Profiler::instance().disable();

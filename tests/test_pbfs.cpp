@@ -69,6 +69,13 @@ struct PbfsParams {
   unsigned workers;
 };
 
+// Print the sweep point by value: the default byte dump shows the `kind`
+// pointer and padding, which differ per process and make the test names
+// unstable.
+void PrintTo(const PbfsParams& p, std::ostream* os) {
+  *os << p.kind << "_P" << p.workers;
+}
+
 class PbfsMatchesSerial : public ::testing::TestWithParam<PbfsParams> {
  protected:
   Graph make_graph() const {
